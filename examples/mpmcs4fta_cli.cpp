@@ -319,8 +319,8 @@ int run_batch(const std::string& dir, std::size_t jobs,
       // strata). Memoized repeats replay the stored solution, so the
       // attribution is stable across identical requests.
       const auto solution_json = [&](const core::MpmcsSolution& sol) {
-        return "{\"probability\": " + util::format_double(sol.probability) +
-               ", \"logCost\": " + util::format_double(sol.log_cost) +
+        return "{\"probability\": " + util::json_number(sol.probability) +
+               ", \"logCost\": " + util::json_number(sol.log_cost) +
                ", \"solver\": \"" + util::json_escape(sol.solver_name) +
                "\", \"lineage\": \"" + util::json_escape(sol.lineage) +
                "\", \"satDecisions\": " + std::to_string(sol.sat_decisions) +
@@ -513,8 +513,8 @@ int run_mutate(const std::string& tree_path, const std::string& edits_path,
   if (!json_path.empty()) {
     const auto solution_json = [](const std::vector<std::string>& names,
                                   const core::MpmcsSolution& sol) {
-      return "{\"probability\": " + util::format_double(sol.probability) +
-             ", \"logCost\": " + util::format_double(sol.log_cost) +
+      return "{\"probability\": " + util::json_number(sol.probability) +
+             ", \"logCost\": " + util::json_number(sol.log_cost) +
              ", \"solver\": \"" + util::json_escape(sol.solver_name) +
              "\", \"lineage\": \"" + util::json_escape(sol.lineage) +
              "\", \"mpmcs\": " + cut_to_json_array(names, sol.cut) + "}";

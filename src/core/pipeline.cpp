@@ -337,6 +337,21 @@ void append_raw_members(std::vector<maxsat::PortfolioMember>& members,
                      raw});
 }
 
+/// The sizes of the instance Step 5 sees and the Step 3.5 pass that made
+/// it, as every answer over a prepared artefact reports them.
+void describe_artefact(const maxsat::WcnfInstance& to_solve,
+                       const preprocess::PreprocessResult* pre,
+                       MpmcsSolution& sol) {
+  sol.cnf_vars = to_solve.num_vars();
+  sol.cnf_clauses = to_solve.hard().size();
+  if (pre) {
+    sol.preprocess_seconds = pre->stats.seconds;
+    sol.preprocess_removed_vars = pre->stats.fixed_vars +
+                                  pre->stats.substituted_vars +
+                                  pre->stats.eliminated_vars;
+  }
+}
+
 }  // namespace
 
 MpmcsSolution MpmcsPipeline::solve_instance(
@@ -460,13 +475,8 @@ MpmcsSolution MpmcsPipeline::solve_simplified(
     const maxsat::WcnfInstance* raw_working) const {
   util::Timer total;
   MpmcsSolution sol;
-  sol.cnf_vars = to_solve.num_vars();
-  sol.cnf_clauses = to_solve.hard().size();
+  describe_artefact(to_solve, pre, sol);
   if (pre) {
-    sol.preprocess_seconds = pre->stats.seconds;
-    sol.preprocess_removed_vars = pre->stats.fixed_vars +
-                                  pre->stats.substituted_vars +
-                                  pre->stats.eliminated_vars;
     if (pre->unsat) {
       // Refuted at level 0: no model regardless of softs.
       sol.status = maxsat::MaxSatStatus::Unsatisfiable;
@@ -572,10 +582,36 @@ MpmcsSolution MpmcsPipeline::solve_simplified(
   return sol;
 }
 
+std::optional<MpmcsSolution> MpmcsPipeline::solve_closed_form(
+    const ft::FaultTree& tree) const {
+  if (opts_.solver != SolverChoice::Portfolio) return std::nullopt;
+  util::Timer timer;
+  std::optional<maxsat::TreeOptimum> opt =
+      maxsat::solve_tree(tree, opts_.weight_scale);
+  if (!opt) return std::nullopt;
+  MpmcsSolution sol;
+  sol.solver_name = "closed-form";
+  sol.lineage = "tree";
+  // The cut is minimal by construction, so no shrink pass; Step 6 as on
+  // every other path.
+  sol.status = maxsat::MaxSatStatus::Optimal;
+  sol.cut = std::move(opt->cut);
+  sol.scaled_cost = opt->scaled_cost;
+  sol.probability = sol.cut.probability(tree);
+  sol.log_cost = sol.cut.log_cost(tree);
+  sol.solve_seconds = timer.seconds();
+  return sol;
+}
+
 MpmcsSolution MpmcsPipeline::solve(const ft::FaultTree& tree,
                                    util::CancelTokenPtr cancel) const {
   util::Timer total;
   tree.validate();
+  // Shared-free trees under the default choice need no Steps 1-5 at all.
+  if (std::optional<MpmcsSolution> sol = solve_closed_form(tree)) {
+    sol->total_seconds = total.seconds();
+    return *std::move(sol);
+  }
   if (opts_.solver == SolverChoice::Stratified) {
     // The stratified strategy needs the decomposition plan (and its
     // per-stratum artefacts); one-shot solves go through prepare too,
@@ -947,6 +983,13 @@ MpmcsSolution MpmcsPipeline::solve_prepared(const ft::FaultTree& tree,
     return sol;
   }
   const preprocess::PreprocessResult* pre = prepared.pre.get();
+  if (std::optional<MpmcsSolution> sol = solve_closed_form(tree)) {
+    // The artefact stays as prepare() built it (PATCH rebases and top-k
+    // still use it); the answer describes it as Step 5 would have.
+    describe_artefact(pre ? pre->simplified : prepared.raw, pre, *sol);
+    sol->total_seconds = total.seconds();
+    return *std::move(sol);
+  }
   const maxsat::WcnfInstance* raw =
       pre != nullptr && opts_.hedging_effective() ? &prepared.raw : nullptr;
   // Concurrent solves of the same cached structure race for the session;

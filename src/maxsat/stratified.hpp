@@ -36,9 +36,14 @@
 // sessions) are owned by core::PreparedInstance, which attaches one
 // recursively-prepared sub-artefact per non-trivial stratum; this header
 // only knows the plan shape and the recombination arithmetic.
+//
+// On a shared-free tree every gate is a module, so the same arithmetic
+// applied at every gate is the whole solve: solve_tree() below, the
+// default path's answer for such trees (no instance, no SAT call).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -139,5 +144,27 @@ struct Recombined {
 /// live strata).
 Recombined recombine(const StratifiedPlan& plan,
                      std::span<const StratumOutcome> outcomes);
+
+/// The exact optimum of a shared-free tree, found without a solver.
+struct TreeOptimum {
+  ft::CutSet cut;  ///< A maximum-probability minimal cut set.
+  /// Its cost in the monolithic instance's scaled-integer space:
+  /// ordinary + impossible x (1 + summed ordinary weights of the events
+  /// reachable from the top), the instance's "forbidden" weight.
+  Weight scaled_cost = 0;
+};
+
+/// Closed-form MPMCS when every node reachable from the top has at most
+/// one parent (a child listed twice by one gate counts as two parents);
+/// nullopt otherwise. On such a tree every gate is a module, so the
+/// recombination rule above applies at every gate, not only the top:
+/// one bottom-up pass ranks each gate's children by ScaledCutCost (ties
+/// by child order) and one top-down pass collects the chosen events. The
+/// cut is minimal by construction (disjoint children, a minimal cut in
+/// each chosen one) and its cost equals the monolithic optimum.
+/// Iterative in both directions, so depth costs no stack; O(n log n)
+/// worst case for n reachable nodes.
+std::optional<TreeOptimum> solve_tree(const ft::FaultTree& tree,
+                                      double weight_scale);
 
 }  // namespace fta::maxsat

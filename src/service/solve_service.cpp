@@ -74,8 +74,8 @@ std::string cut_to_json_array(const ft::FaultTree& tree,
 /// (anytime) answers additionally carry the certified optimality bounds.
 std::string solution_json(const ft::FaultTree& tree,
                           const core::MpmcsSolution& sol) {
-  std::string j = "{\"probability\": " + util::format_double(sol.probability) +
-                  ", \"logCost\": " + util::format_double(sol.log_cost) +
+  std::string j = "{\"probability\": " + util::json_number(sol.probability) +
+                  ", \"logCost\": " + util::json_number(sol.log_cost) +
                   ", \"solver\": \"" + util::json_escape(sol.solver_name) +
                   "\", \"lineage\": \"" + util::json_escape(sol.lineage) +
                   "\", \"satDecisions\": " +
@@ -91,8 +91,8 @@ std::string solution_json(const ft::FaultTree& tree,
     j += ", \"scaledCost\": " + std::to_string(sol.scaled_cost);
     j += ", \"scaledLowerBound\": " + std::to_string(sol.scaled_lower_bound);
     j += ", \"probabilityUpperBound\": " +
-         util::format_double(sol.probability_upper_bound);
-    j += ", \"optimalityGap\": " + util::format_double(sol.optimality_gap);
+         util::json_number(sol.probability_upper_bound);
+    j += ", \"optimalityGap\": " + util::json_number(sol.optimality_gap);
   }
   return j + "}";
 }
@@ -140,6 +140,16 @@ std::string delta_application_json(const core::DeltaApplication& d) {
   return j + "}";
 }
 
+/// One engine run in the funnel, attributed to what answered it: the
+/// closed form (a shared-free tree on the default path) or MaxSAT.
+void count_engine_solve(TenantCounters& t, const AnalysisResult& result) {
+  t.engine_solves.fetch_add(1, std::memory_order_relaxed);
+  const bool closed_form =
+      result.kind == AnalysisKind::Mpmcs && result.mpmcs.lineage == "tree";
+  (closed_form ? t.closed_form_solves : t.maxsat_solves)
+      .fetch_add(1, std::memory_order_relaxed);
+}
+
 std::string tenant_json(const std::string& name, const TenantCounters& t,
                         std::size_t queue_depth) {
   std::string j = "{";
@@ -150,6 +160,9 @@ std::string tenant_json(const std::string& name, const TenantCounters& t,
   j += "\"memoHits\": " + std::to_string(t.memo_hits.load()) + ", ";
   j += "\"cacheHits\": " + std::to_string(t.cache_hits.load()) + ", ";
   j += "\"engineSolves\": " + std::to_string(t.engine_solves.load()) + ", ";
+  j += "\"closedFormSolves\": " + std::to_string(t.closed_form_solves.load()) +
+       ", ";
+  j += "\"maxsatSolves\": " + std::to_string(t.maxsat_solves.load()) + ", ";
   j += "\"rejectedQuota\": " + std::to_string(t.rejected_quota.load()) + ", ";
   j += "\"rejectedCapacity\": " + std::to_string(t.rejected_capacity.load()) +
        ", ";
@@ -223,6 +236,18 @@ double SolveService::service_estimate() const {
   std::lock_guard<std::mutex> lock(estimate_mutex_);
   return std::max(ewma_primed_ ? ewma_seconds_ : 0.0,
                   opts_.min_service_estimate_seconds);
+}
+
+double SolveService::estimate_wait(std::size_t global_depth) const {
+  // An idle queue starts the solve at once, so only the configured floor
+  // can refuse it. The EWMA learns from admitted requests alone: letting
+  // it refuse idle ones too would latch admission shut once it passed a
+  // fixed deadline.
+  if (global_depth == 0) return opts_.min_service_estimate_seconds;
+  return (static_cast<double>(global_depth) /
+              static_cast<double>(engine_.num_threads()) +
+          1.0) *
+         service_estimate();
 }
 
 void SolveService::observe_service_time(double seconds) {
@@ -473,11 +498,7 @@ HttpResponse SolveService::handle_solve(const HttpRequest& request,
         // Deadline-aware shedding: solving a request that cannot finish
         // in time wastes a worker AND still fails the client — reject
         // early.
-        const double estimated_wait =
-            (static_cast<double>(global_depth) /
-                 static_cast<double>(engine_.num_threads()) +
-             1.0) *
-            service_estimate();
+        const double estimated_wait = estimate_wait(global_depth);
         if (estimated_wait > deadline_seconds) {
           anon.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
           tenant.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
@@ -530,8 +551,8 @@ HttpResponse SolveService::handle_solve(const HttpRequest& request,
     tenant.outstanding.fetch_sub(1, std::memory_order_relaxed);
     if (result.ok && !result.memoized) {
       observe_service_time(result.seconds);
-      anon.engine_solves.fetch_add(1, std::memory_order_relaxed);
-      tenant.engine_solves.fetch_add(1, std::memory_order_relaxed);
+      count_engine_solve(anon, result);
+      count_engine_solve(tenant, result);
     }
   } else {
     anon.coalesced.fetch_add(1, std::memory_order_relaxed);
@@ -981,11 +1002,7 @@ HttpResponse SolveService::handle_tree_patch(const HttpRequest& request,
                               " requests outstanding");
   }
   if (deadline_seconds > 0.0) {
-    const double estimated_wait =
-        (static_cast<double>(global_depth) /
-             static_cast<double>(engine_.num_threads()) +
-         1.0) *
-        service_estimate();
+    const double estimated_wait = estimate_wait(global_depth);
     if (estimated_wait > deadline_seconds) {
       anon.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
       tenant.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
@@ -1013,8 +1030,8 @@ HttpResponse SolveService::handle_tree_patch(const HttpRequest& request,
   tenant.outstanding.fetch_sub(1, std::memory_order_relaxed);
   if (result.ok && !result.memoized) {
     observe_service_time(result.seconds);
-    anon.engine_solves.fetch_add(1, std::memory_order_relaxed);
-    tenant.engine_solves.fetch_add(1, std::memory_order_relaxed);
+    count_engine_solve(anon, result);
+    count_engine_solve(tenant, result);
   }
 
   // The edit mutates the resource BEFORE the solve runs, so the post-image

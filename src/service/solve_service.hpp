@@ -20,6 +20,8 @@
 //     recent solve times) are rejected up front with 503 instead of
 //     being solved late, and admitted ones run under a cancel-token
 //     deadline so an expired request frees its worker at the next poll.
+//     An idle queue is refused only on the configured floor, never on
+//     the EWMA, which would otherwise stop learning and latch shut.
 //   * Session-pool memory bound — the engine evicts prepared-tree LRU
 //     entries (and with them their incremental SAT sessions) once the
 //     pool's total session footprint passes the configured cap.
@@ -142,6 +144,14 @@ class SolveService {
   /// The /v1/statsz document (exposed for the CLI's final report).
   std::string statsz_json();
 
+  /// The per-solve admission estimate: an EWMA of recent engine-run
+  /// times (memo hits excluded), never below
+  /// ServiceOptions::min_service_estimate_seconds.
+  double service_estimate() const;
+  /// Feeds one engine-run time into the estimate (every successful
+  /// engine run does).
+  void observe_service_time(double seconds);
+
  private:
   struct Flight {
     std::shared_future<engine::AnalysisResult> future;
@@ -174,10 +184,9 @@ class SolveService {
   /// like a missing id.
   std::optional<std::string> tree_owner(const std::string& id) const;
 
-  /// EWMA of recent engine-run times (memo hits excluded) for the
-  /// admission estimate.
-  double service_estimate() const;
-  void observe_service_time(double seconds);
+  /// The admission check's expected wait for a request arriving with
+  /// `global_depth` requests outstanding.
+  double estimate_wait(std::size_t global_depth) const;
 
   ServiceOptions opts_;
   ServiceStats stats_;

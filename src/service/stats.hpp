@@ -77,6 +77,11 @@ struct TenantCounters {
   std::atomic<std::uint64_t> memo_hits{0};      ///< Whole-solution reuse.
   std::atomic<std::uint64_t> cache_hits{0};     ///< Prepared-artefact reuse.
   std::atomic<std::uint64_t> engine_solves{0};  ///< Actual engine runs.
+  /// Engine runs split by what answered them; the two sum to
+  /// engine_solves. Closed form: shared-free trees on the default path,
+  /// no Step 5. MaxSAT: everything else, top-k included.
+  std::atomic<std::uint64_t> closed_form_solves{0};
+  std::atomic<std::uint64_t> maxsat_solves{0};
   std::atomic<std::uint64_t> rejected_quota{0};     ///< 429: tenant queue full.
   std::atomic<std::uint64_t> rejected_capacity{0};  ///< 503: global queue full.
   std::atomic<std::uint64_t> rejected_deadline{0};  ///< 503: unmeetable.

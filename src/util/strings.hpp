@@ -26,4 +26,8 @@ std::string json_escape(std::string_view s);
 /// Formats a double with enough digits to round-trip, trimming zeros.
 std::string format_double(double v);
 
+/// format_double for a JSON document: JSON has no infinity or NaN, so a
+/// non-finite value is written as `null`.
+std::string json_number(double v);
+
 }  // namespace fta::util

@@ -24,6 +24,7 @@
 #include "maxsat/brute_force.hpp"
 #include "maxsat/incremental.hpp"
 #include "maxsat/oll.hpp"
+#include "maxsat/stratified.hpp"
 #include "sat/solver.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
@@ -301,14 +302,35 @@ TEST(IncrementalDifferential, GeneratedTreesLsu) {
 }
 
 TEST(IncrementalDifferential, PortfolioSessionAgrees) {
-  for (std::uint64_t seed : {5u, 17u}) {
-    gen::GeneratorOptions opts;
-    opts.num_events = 30;
-    opts.sharing = 0.2;
+  gen::GeneratorOptions opts;
+  opts.num_events = 30;
+  opts.sharing = 0.2;
+  // Trees that share events take Step 5 on the session.
+  for (std::uint64_t seed : {6u, 17u}) {
     const ft::FaultTree tree = gen::random_tree(opts, seed);
+    ASSERT_FALSE(maxsat::solve_tree(tree, 1e6)) << "seed " << seed;
     expect_same_optimum(tree, core::SolverChoice::Portfolio,
                         "seed " + std::to_string(seed));
   }
+  // Seed 5 shares nothing: the default path answers it in closed form,
+  // which must agree with OLL on the session.
+  const ft::FaultTree tree = gen::random_tree(opts, 5);
+  const core::MpmcsPipeline closed(
+      incremental_options(true, core::SolverChoice::Portfolio));
+  const core::MpmcsSolution a =
+      closed.solve_prepared(tree, closed.prepare(tree));
+  ASSERT_EQ(a.status, MaxSatStatus::Optimal);
+  EXPECT_EQ(a.lineage, "tree");
+  const core::MpmcsPipeline oll(
+      incremental_options(true, core::SolverChoice::Oll));
+  const core::PreparedInstance prepared = oll.prepare(tree);
+  const core::MpmcsSolution b = oll.solve_prepared(tree, prepared);
+  ASSERT_EQ(b.status, MaxSatStatus::Optimal);
+  EXPECT_EQ(a.scaled_cost, b.scaled_cost);
+  EXPECT_NEAR(a.probability, b.probability,
+              1e-9 * std::max(a.probability, b.probability));
+  EXPECT_TRUE(ft::is_minimal_cut_set(tree, a.cut));
+  EXPECT_GE(prepared.session->stats().solves, 1u);
 }
 
 TEST(IncrementalDifferential, BruteForceCrossCheck) {

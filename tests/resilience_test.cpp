@@ -24,6 +24,7 @@
 #include "ft/parser.hpp"
 #include "ft/tree_delta.hpp"
 #include "gen/generator.hpp"
+#include "maxsat/stratified.hpp"
 #include "service/http_client.hpp"
 #include "service/journal.hpp"
 #include "service/solve_service.hpp"
@@ -38,6 +39,15 @@ namespace {
 std::string plant_text() {
   return "toplevel TOP;\nTOP or M1 M2;\nM1 and a b;\nM2 and c d;\n"
          "a prob=0.1; b prob=0.2; c prob=0.3; d prob=0.1;\n";
+}
+
+/// The plant with `b` shared by both trains. plant_text() shares no
+/// event, so the default path answers it in closed form without a SAT
+/// call; this one still takes Step 5 and its SAT solves.
+ft::FaultTree shared_plant() {
+  return ft::parse_fault_tree(
+      "toplevel TOP;\nTOP or M1 M2;\nM1 and a b;\nM2 and b c d;\n"
+      "a prob=0.1; b prob=0.2; c prob=0.3; d prob=0.1;\n");
 }
 
 /// A fresh empty directory under the gtest temp root, unique per call.
@@ -445,8 +455,9 @@ TEST(Watchdog, FrozenSolveIsCancelledQuarantinedAndResetCold) {
   eo.watchdog_interval_seconds = 0.05;
   eo.watchdog_stall_intervals = 3;
   engine::AnalysisEngine eng(eo);
-  const std::string id =
-      eng.create_tree(ft::parse_fault_tree(plant_text()), {});
+  const ft::FaultTree plant = shared_plant();
+  ASSERT_FALSE(maxsat::solve_tree(plant, 1e6));
+  const std::string id = eng.create_tree(plant, {});
 
   // Every SAT solve entry sleeps 600 ms *before* ticking the liveness
   // counter — from the watchdog's side this is indistinguishable from a
@@ -500,8 +511,9 @@ TEST(WarmReset, BudgetTripAbandonsWarmSessionAndStillAnswers) {
   // immediately and the engine must fall back to a cold re-solve.
   eo.warm_reset_multiple = 1e-6;
   engine::AnalysisEngine eng(eo);
-  const std::string id =
-      eng.create_tree(ft::parse_fault_tree(plant_text()), {});
+  const ft::FaultTree plant = shared_plant();
+  ASSERT_FALSE(maxsat::solve_tree(plant, 1e6));
+  const std::string id = eng.create_tree(plant, {});
 
   engine::AnalysisRequest cold;
   cold.id = "cold";

@@ -400,6 +400,57 @@ TEST(SolveService, MalformedBodiesAlwaysGetStructured400s) {
   EXPECT_EQ(solved.status, 200) << solved.body;
 }
 
+TEST(SolveService, IdleQueueAdmitsPastAStaleEstimate) {
+  // An EWMA primed above a fixed deadline must not refuse a request on
+  // an idle queue: the request runs, and its time pulls the EWMA back.
+  SolveService svc(test_options());
+  svc.observe_service_time(5.0);
+  ASSERT_DOUBLE_EQ(svc.service_estimate(), 5.0);
+  const HttpResponse r = svc.handle(
+      post("/v1/solve", solve_body("steady", ladder_text(), "", 0, 1000.0)));
+  EXPECT_EQ(r.status, 200) << r.body;
+  EXPECT_LT(svc.service_estimate(), 5.0);
+  const TenantCounters* t = svc.stats().find("steady");
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->rejected_deadline.load(), 0u);
+  EXPECT_EQ(t->engine_solves.load(), 1u);
+}
+
+TEST(SolveService, StatszAttributesSolvesToClosedFormOrMaxSat) {
+  SolveService svc(test_options());
+  // A ladder shares no events: the default path answers in closed form.
+  const HttpResponse tree = svc.handle(
+      post("/v1/solve", solve_body("ops", ladder_text())));
+  ASSERT_EQ(tree.status, 200) << tree.body;
+  const util::JsonValue doc = util::JsonValue::parse(tree.body);
+  const util::JsonValue* sol = doc.find("solution");
+  ASSERT_NE(sol, nullptr);
+  EXPECT_EQ(sol->get_string("solver", ""), "closed-form");
+  EXPECT_EQ(sol->get_string("lineage", ""), "tree");
+  // An explicit solver, a DAG (seed 4 shares events) and top-k all take
+  // MaxSAT.
+  ASSERT_EQ(svc.handle(post("/v1/solve",
+                            solve_body("ops", ladder_text(), "oll")))
+                .status,
+            200);
+  ASSERT_EQ(svc.handle(post("/v1/solve",
+                            solve_body("ops", distinct_tree_text(4))))
+                .status,
+            200);
+  ASSERT_EQ(
+      svc.handle(post("/v1/topk", solve_body("ops", ladder_text(), "", 2)))
+          .status,
+      200);
+
+  const util::JsonValue stats =
+      util::JsonValue::parse(svc.handle(get("/v1/statsz")).body);
+  const util::JsonValue* global = stats.find("global");
+  ASSERT_NE(global, nullptr);
+  EXPECT_EQ(global->get_number("engineSolves", -1), 4);
+  EXPECT_EQ(global->get_number("closedFormSolves", -1), 1);
+  EXPECT_EQ(global->get_number("maxsatSolves", -1), 3);
+}
+
 TEST(SolveService, StatszExposesTheWholeFunnel) {
   ServiceOptions opts = test_options();
   opts.min_service_estimate_seconds = 1.0;
@@ -577,6 +628,31 @@ TEST(TreeResources, StaleEtagConflictsAndOmittedEtagWins) {
   const util::JsonValue* tsec = stats.find("trees");
   ASSERT_NE(tsec, nullptr);
   EXPECT_EQ(tsec->get_number("etagConflicts", -1), 1);
+}
+
+TEST(TreeResources, AnswersWithoutAPossibleFailureAreValidJson) {
+  // Disabling an event in every minimal cut set leaves only cuts of
+  // probability 0: the log cost is infinite, which JSON writes as null.
+  SolveService svc(test_options());
+  const HttpResponse created = svc.handle(
+      req("POST", "/v1/trees",
+          solve_body("plant",
+                     "toplevel t;\nt and a b;\na prob=0.1;\nb prob=0.2;\n")));
+  ASSERT_EQ(created.status, 201) << created.body;
+  const util::JsonValue cdoc = util::JsonValue::parse(created.body);
+  const HttpResponse patched = svc.handle(req(
+      "PATCH", "/v1/trees/" + cdoc.get_string("id", ""),
+      patch_body("plant", cdoc.get_string("etag", ""),
+                 "[{\"op\": \"toggle\", \"event\": \"a\", "
+                 "\"enabled\": false}]")));
+  ASSERT_EQ(patched.status, 200) << patched.body;
+  const util::JsonValue doc = util::JsonValue::parse(patched.body);
+  const util::JsonValue* sol = doc.find("solution");
+  ASSERT_NE(sol, nullptr) << patched.body;
+  EXPECT_EQ(sol->get_number("probability", -1), 0.0);
+  const util::JsonValue* log_cost = sol->find("logCost");
+  ASSERT_NE(log_cost, nullptr);
+  EXPECT_TRUE(log_cost->is_null());
 }
 
 TEST(TreeResources, ForeignTenantSeesNothingAndBadDeltasGet400) {

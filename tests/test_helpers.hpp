@@ -1,10 +1,13 @@
 // Shared helpers for the test suites: random CNF generation, brute-force
-// SAT/MaxSAT oracles, and random fault-formula construction.
+// SAT/MaxSAT oracles, random fault-formula construction, and the
+// redundant-ladder shape classes.
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "gen/generator.hpp"
 #include "logic/cnf.hpp"
 #include "logic/formula.hpp"
 #include "util/rng.hpp"
@@ -71,6 +74,29 @@ inline logic::NodeId random_monotone_formula(util::Rng& rng,
     pool.push_back(combined);
   }
   return pool[0];
+}
+
+/// The 18 redundant-ladder shape classes: top OR / AND / 2-of-n vote x
+/// member vote 2-of-3 / 2-of-4 / 3-of-5 x flat / nested members. The
+/// caller sets `subsystems`.
+inline std::vector<gen::LadderOptions> ladder_classes() {
+  std::vector<gen::LadderOptions> out;
+  for (const bool nested : {false, true}) {
+    for (const auto& [k, n] : {std::pair{2u, 3u}, std::pair{2u, 4u},
+                               std::pair{3u, 5u}}) {
+      for (const ft::NodeType top :
+           {ft::NodeType::Or, ft::NodeType::And, ft::NodeType::Vote}) {
+        gen::LadderOptions lo;
+        lo.members = n;
+        lo.k = k;
+        lo.combine = top;
+        lo.combine_k = 2;
+        lo.nested = nested;
+        out.push_back(lo);
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace fta::test

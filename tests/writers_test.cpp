@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ft/builder.hpp"
 #include "ft/dot_writer.hpp"
 #include "ft/json_writer.hpp"
@@ -30,6 +32,18 @@ TEST(JsonWriter, SolutionBlockMatchesPaperFig2) {
   EXPECT_NE(json.find("\"probability\": 0.02"), std::string::npos);
   // Members of the cut are marked on their event nodes.
   EXPECT_NE(json.find("\"inMpmcs\": true"), std::string::npos);
+}
+
+TEST(JsonWriter, NonFiniteNumbersBecomeNull) {
+  // A cut holding an impossible event has probability 0 and an infinite
+  // log cost; JSON has no infinity.
+  const FaultTree t = fire_protection_system();
+  JsonSolution sol;
+  sol.mpmcs = CutSet({0, 1});
+  sol.log_cost = std::numeric_limits<double>::infinity();
+  const std::string json = to_json(t, sol);
+  EXPECT_NE(json.find("\"logCost\": null"), std::string::npos);
+  EXPECT_EQ(json.find("inf"), std::string::npos);
 }
 
 TEST(JsonWriter, BalancedBracketsAndQuotes) {
